@@ -8,7 +8,10 @@ ci: check race cover
 # Static gate plus the smokes: vet, formatting, a full build, the fast
 # test suite, and finally the expensive chaos fleet. Ordering matters —
 # a unit-test failure should surface in seconds, not after a 5s
-# race-instrumented fleet run.
+# race-instrumented fleet run. perfbench/ is a nested module (the
+# benchmark program), so the root ./... never compiles it; it is vetted
+# and tested on its own, since it imports the server, cluster and
+# experiments APIs.
 check:
 	go vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -16,6 +19,7 @@ check:
 	fi
 	go build ./...
 	go test -short ./...
+	cd perfbench && go vet ./... && go test ./...
 	$(MAKE) chaos
 	$(MAKE) cluster
 	$(MAKE) crashtest

@@ -19,7 +19,8 @@ import (
 const SessionStateVersion = 1
 
 // SessionState is one unit of warm state shipped between nodes inside a
-// FrameMigrate frame (JSON-encoded; docs/PROTOCOL.md §Migration frames).
+// FrameMigrate or FrameReplicate frame (JSON-encoded; docs/PROTOCOL.md
+// §Migration frames).
 // Two shapes travel under the same type:
 //
 //   - Token != "": a parked session. The receiver re-parks it — learned
@@ -52,50 +53,68 @@ type SessionState struct {
 	Partial bool `json:"partial,omitempty"`
 }
 
-// ShipStats accounts one migration pass to one target node.
+// ShipStats accounts one shipping pass to one target node.
 type ShipStats struct {
 	// Sessions and Contexts count the accepted parked-session and
 	// warm-snapshot states; Rejected the states the target nacked.
 	Sessions int
 	Contexts int
 	Rejected int
-	// Bytes is the total FrameMigrate payload bytes shipped (the
+	// Bytes is the total state-frame payload bytes shipped (the
 	// bytes-moved cost of the pass, before framing overhead).
 	Bytes int64
 }
 
-// Ship opens one migration stream to addr and ships states over it,
+// Stream is what tells the two warm-state streams between nodes apart:
+// the hello that opens one and the frame types it exchanges. Migration
+// (a drain handoff the receiver serves at once) and replication (crash-
+// fault copies the receiver holds passively) share every other mechanic
+// (docs/PROTOCOL.md §Migration frames, §Replication frames).
+type Stream struct {
+	// Name is the stream's noun in errors.
+	Name string
+	// Hello opens the stream; Ship fills in the shipping node.
+	Hello wire.Hello
+	// Frame carries one state in, Ack answers it.
+	Frame, Ack byte
+}
+
+var (
+	// Migration ships a draining node's warm state to its successors.
+	Migration = Stream{
+		Name:  "migration",
+		Hello: wire.Hello{Migrate: true, Framing: string(wire.FramingBinary)},
+		Frame: wire.FrameMigrate,
+		Ack:   wire.FrameMigrateAck,
+	}
+	// Replication pushes a live node's warm state to its successors for
+	// crash failover.
+	Replication = Stream{
+		Name:  "replication",
+		Hello: wire.Hello{Replicate: true, Framing: string(wire.FramingBinary)},
+		Frame: wire.FrameReplicate,
+		Ack:   wire.FrameReplicateAck,
+	}
+)
+
+// Ship opens one migration stream to addr and ships states over it; see
+// Stream.Ship.
+func Ship(addr, origin string, states []SessionState, timeout time.Duration) (ShipStats, error) {
+	return Migration.Ship(addr, origin, states, timeout)
+}
+
+// Ship opens one stream of kind k to addr and ships states over it,
 // pipelined, returning per-target accounting. origin names the shipping
 // node (it travels in the hello and tags the target's trace events). The
 // whole exchange — dial, handshake, every frame and ack — happens within
-// timeout. Any transport or protocol error aborts the pass; migration is
+// timeout. Any transport or protocol error aborts the pass; shipping is
 // best-effort by design, because every shipped state is also recoverable
-// the slow way (cold start warmed by checkpoint, §Resilience).
-func Ship(addr, origin string, states []SessionState, timeout time.Duration) (ShipStats, error) {
-	return ship(addr, origin, states, timeout, false)
-}
-
-// ShipReplicas opens one async replication stream to addr and pushes
-// states over it — the same wire choreography as Ship, but under a
-// "replicate" hello and FrameReplicate/FrameReplicateAck frames, so the
-// receiver holds the states passively (replica table + warm store) for
-// crash failover instead of serving them. Best-effort like Ship: a failed
-// pass costs staleness, never correctness, because the next tick pushes
-// fresh state again.
-func ShipReplicas(addr, origin string, states []SessionState, timeout time.Duration) (ShipStats, error) {
-	return ship(addr, origin, states, timeout, true)
-}
-
-// ship is the shared stream body of Ship and ShipReplicas; replica picks
-// the hello flag, frame type and ack decoder.
-func ship(addr, origin string, states []SessionState, timeout time.Duration, replica bool) (ShipStats, error) {
+// the slow way (cold start warmed by checkpoint, §Resilience), and a
+// replication pass is repeated on the next tick anyway.
+func (k Stream) Ship(addr, origin string, states []SessionState, timeout time.Duration) (ShipStats, error) {
 	var st ShipStats
 	if len(states) == 0 {
 		return st, nil
-	}
-	kind := "migrate"
-	if replica {
-		kind = "replicate"
 	}
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
@@ -108,18 +127,9 @@ func ship(addr, origin string, states []SessionState, timeout time.Duration, rep
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
 
-	h := wire.Hello{Node: origin, Framing: string(wire.FramingBinary)}
-	if replica {
-		h.Replicate = true
-	} else {
-		h.Migrate = true
-	}
-	hello, err := json.Marshal(h)
-	if err != nil {
-		return st, err
-	}
-	hello = append(hello, '\n')
-	if _, err := bw.Write(hello); err != nil {
+	h := k.Hello
+	h.Node = origin
+	if err := json.NewEncoder(bw).Encode(h); err != nil {
 		return st, err
 	}
 	if err := bw.Flush(); err != nil {
@@ -127,20 +137,20 @@ func ship(addr, origin string, states []SessionState, timeout time.Duration, rep
 	}
 	line, err := wire.ReadLine(br, wire.MaxLineBytes)
 	if err != nil {
-		return st, fmt.Errorf("cluster: read %s handshake from %s: %w", kind, addr, err)
+		return st, fmt.Errorf("cluster: read %s handshake from %s: %w", k.Name, addr, err)
 	}
 	var env struct {
 		FramingAck bool   `json:"framing_ack"`
 		Err        string `json:"error"`
 	}
 	if err := json.Unmarshal(line, &env); err != nil {
-		return st, fmt.Errorf("cluster: bad %s handshake from %s: %w", kind, addr, err)
+		return st, fmt.Errorf("cluster: bad %s handshake from %s: %w", k.Name, addr, err)
 	}
 	if env.Err != "" {
-		return st, fmt.Errorf("cluster: %s rejected %s stream: %s", addr, kind, env.Err)
+		return st, fmt.Errorf("cluster: %s rejected %s stream: %s", addr, k.Name, env.Err)
 	}
 	if !env.FramingAck {
-		return st, fmt.Errorf("cluster: %s answered %s hello without framing ack", addr, kind)
+		return st, fmt.Errorf("cluster: %s answered %s hello without framing ack", addr, k.Name)
 	}
 
 	// Ship everything pipelined, then collect one ack per state. The ack
@@ -156,12 +166,7 @@ func ship(addr, origin string, states []SessionState, timeout time.Duration, rep
 		if err != nil {
 			return st, fmt.Errorf("cluster: encode session state %q: %w", s.Token, err)
 		}
-		if replica {
-			err = fw.WriteReplicate(payload)
-		} else {
-			err = fw.WriteMigrate(payload)
-		}
-		if err != nil {
+		if err := fw.WriteState(k.Frame, payload); err != nil {
 			return st, err
 		}
 		st.Bytes += int64(len(payload))
@@ -169,34 +174,25 @@ func ship(addr, origin string, states []SessionState, timeout time.Duration, rep
 	if err := bw.Flush(); err != nil {
 		return st, err
 	}
-	wantAck := wire.FrameMigrateAck
-	if replica {
-		wantAck = wire.FrameReplicateAck
-	}
 	fr := wire.NewFrameReader(br)
 	for i := range states {
 		typ, p, err := fr.ReadFrame()
 		if err != nil {
-			return st, fmt.Errorf("cluster: read %s ack %d/%d from %s: %w", kind, i+1, len(states), addr, err)
+			return st, fmt.Errorf("cluster: read %s ack %d/%d from %s: %w", k.Name, i+1, len(states), addr, err)
 		}
 		switch typ {
-		case wantAck:
+		case k.Ack:
 		case wire.FrameError:
-			return st, fmt.Errorf("cluster: %s aborted %s stream: %s", addr, kind, p)
+			return st, fmt.Errorf("cluster: %s aborted %s stream: %s", addr, k.Name, p)
 		default:
-			return st, fmt.Errorf("cluster: unexpected frame 0x%02x in %s ack stream", typ, kind)
+			return st, fmt.Errorf("cluster: unexpected frame 0x%02x in %s ack stream", typ, k.Name)
 		}
 		var ack wire.MigrateAck
-		if replica {
-			err = wire.DecodeReplicateAck(p, &ack)
-		} else {
-			err = wire.DecodeMigrateAck(p, &ack)
-		}
-		if err != nil {
+		if err := wire.DecodeStateAck(typ, p, &ack); err != nil {
 			return st, err
 		}
 		if ack.Seq != int64(i+1) {
-			return st, fmt.Errorf("cluster: %s ack out of order: got seq %d, want %d", kind, ack.Seq, i+1)
+			return st, fmt.Errorf("cluster: %s ack out of order: got seq %d, want %d", k.Name, ack.Seq, i+1)
 		}
 		switch {
 		case !ack.OK:

@@ -411,9 +411,3 @@ func (p *Prognos) predictedKey(pr PredictedReport) string {
 	}
 	return k
 }
-
-// PhaseKeys returns the observed MR keys of the open phase (for tests and
-// diagnostics).
-func (p *Prognos) PhaseKeys() []string {
-	return append([]string(nil), p.phaseKeys...)
-}

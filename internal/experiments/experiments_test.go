@@ -190,3 +190,21 @@ func TestTableRender(t *testing.T) {
 		t.Errorf("rendered %d lines, want 6:\n%s", len(lines), out)
 	}
 }
+
+// TestHOErrorNoteSign pins the Fig 14a/b note's wording for both signs of
+// the change: a shrinking error reads "better", a growing one "worse",
+// never a negative "better".
+func TestHOErrorNoteSign(t *testing.T) {
+	for _, tc := range []struct {
+		eHO, eHOpr float64
+		want       string
+	}{
+		{40, 20, "40.0 -> 20.0 Mbps with Prognos (50% better; paper 52-61%)"},
+		{42.0, 42.8, "42.0 -> 42.8 Mbps with Prognos (2% worse; paper 52-61%)"},
+	} {
+		got := hoErrorNote(tc.eHO, tc.eHOpr)
+		if !strings.HasSuffix(got, tc.want) {
+			t.Errorf("hoErrorNote(%v, %v) = %q, want suffix %q", tc.eHO, tc.eHOpr, got, tc.want)
+		}
+	}
+}

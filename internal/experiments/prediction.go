@@ -339,11 +339,22 @@ func Fig14(opts Options) (Table, error) {
 	}
 	fm, fmpr := get("fastMPC"), get("fastMPC-PR")
 	if eHO, eHOpr := stats.Mean(fm.errHO), stats.Mean(fmpr.errHO); eHO > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf("fastMPC tput prediction error during HO chunks: %.1f -> %.1f Mbps with Prognos (%.0f%% better; paper 52-61%%)",
-			eHO, eHOpr, (1-eHOpr/eHO)*100))
+		t.Notes = append(t.Notes, hoErrorNote(eHO, eHOpr))
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("%d trace windows of 240 s (paper used 40+); paper: stall reduced 34.6-58.6%% with ~unchanged quality", len(windows)))
 	return t, nil
+}
+
+// hoErrorNote words the change in fastMPC's throughput prediction error
+// during handover chunks once Prognos feeds it: "better" when the error
+// shrank, "worse" when it grew.
+func hoErrorNote(eHO, eHOpr float64) string {
+	change, word := (1-eHOpr/eHO)*100, "better"
+	if change < 0 {
+		change, word = -change, "worse"
+	}
+	return fmt.Sprintf("fastMPC tput prediction error during HO chunks: %.1f -> %.1f Mbps with Prognos (%.0f%% %s; paper 52-61%%)",
+		eHO, eHOpr, change, word)
 }
 
 // Fig14c reproduces the real-time volumetric study: quality and stall for

@@ -93,58 +93,76 @@ func (r *Runner) Run(ctx context.Context, specs []Spec) ([]Result, error) {
 	defer cancel()
 
 	results := make([]Result, len(specs))
-	work := make(chan int)
-	var wg sync.WaitGroup
 	var mu sync.Mutex // guards done and firstErr
 	var done int
 	var firstErr error
+	// Every spec is fed, even after cancellation: runOne reports the ones
+	// that start late as skipped, so the pool itself never stops early.
+	parallelFor(context.WithoutCancel(ctx), len(specs), jobs, func(i int) {
+		res := runOne(ctx, specs[i], opts)
+		results[i] = res
 
-	worker := func() {
-		defer wg.Done()
-		for i := range work {
-			res := runOne(ctx, specs[i], opts)
-			results[i] = res
-
-			mu.Lock()
-			done++
-			ev := Event{
-				ID:       res.Spec.ID,
-				Paper:    res.Spec.Paper,
-				Done:     done,
-				Total:    len(specs),
-				Duration: time.Duration(res.Metrics.WallMS * float64(time.Millisecond)),
-				Rows:     res.Metrics.Rows,
-				Err:      res.Err,
-				Skipped:  res.Skipped,
-			}
-			if res.Err != nil && !res.Skipped && firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", res.Spec.ID, res.Err)
-				if r.FailFast {
-					cancel()
-				}
-			}
-			mu.Unlock()
-
-			if r.Events != nil {
-				r.Events <- ev
+		mu.Lock()
+		done++
+		ev := Event{
+			ID:       res.Spec.ID,
+			Paper:    res.Spec.Paper,
+			Done:     done,
+			Total:    len(specs),
+			Duration: time.Duration(res.Metrics.WallMS * float64(time.Millisecond)),
+			Rows:     res.Metrics.Rows,
+			Err:      res.Err,
+			Skipped:  res.Skipped,
+		}
+		if res.Err != nil && !res.Skipped && firstErr == nil {
+			firstErr = fmt.Errorf("%s: %w", res.Spec.ID, res.Err)
+			if r.FailFast {
+				cancel()
 			}
 		}
-	}
+		mu.Unlock()
 
-	wg.Add(jobs)
-	for w := 0; w < jobs; w++ {
-		go worker()
-	}
-	for i := range specs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
+		if r.Events != nil {
+			r.Events <- ev
+		}
+	})
 
 	if firstErr == nil {
 		firstErr = ctx.Err()
 	}
 	return results, firstErr
+}
+
+// parallelFor runs fn(i) for every i in [0, n) on jobs workers, handing
+// the indices out in order. Once ctx is done it stops handing them out —
+// the indices not yet started never run — waits for the ones in flight,
+// and reports that the run was cancelled. fn owns whatever it writes for
+// its index, so results land in index order whatever the completion
+// order.
+func parallelFor(ctx context.Context, n, jobs int, fn func(i int)) (cancelled bool) {
+	work := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(jobs)
+	for w := 0; w < jobs; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				fn(i)
+			}
+		}()
+	}
+feed:
+	for i := 0; i < n; i++ {
+		select {
+		case work <- i:
+		case <-ctx.Done():
+			cancelled = true
+			break feed
+		}
+	}
+	close(work)
+	wg.Wait()
+	return cancelled
 }
 
 // runOne executes a single spec with its own metrics probe, or marks it

@@ -259,3 +259,53 @@ func TestRunnerMetricsAttribution(t *testing.T) {
 		t.Errorf("report totals drives=%d hos=%d", rep.TotalDrives(), rep.TotalHOEvents())
 	}
 }
+
+// TestParallelFor pins the pool's contract: every index runs exactly once
+// when nothing cancels, and once the context is done the pool stops
+// handing out indices — what ran is a prefix of the order — and reports
+// the cancellation.
+func TestParallelFor(t *testing.T) {
+	const n = 200
+	run := func(ctx context.Context, cancelAt int, cancel func()) ([]int, bool) {
+		var mu sync.Mutex
+		counts := make([]int, n)
+		cancelled := parallelFor(ctx, n, 3, func(i int) {
+			if i == cancelAt {
+				cancel()
+			}
+			mu.Lock()
+			counts[i]++
+			mu.Unlock()
+		})
+		return counts, cancelled
+	}
+
+	counts, cancelled := run(context.Background(), -1, func() {})
+	if cancelled {
+		t.Error("uncancelled run reported cancelled")
+	}
+	for i, c := range counts {
+		if c != 1 {
+			t.Fatalf("index %d ran %d times, want 1", i, c)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	counts, cancelled = run(ctx, 5, cancel)
+	if !cancelled {
+		t.Error("cancelled run not reported")
+	}
+	ran := 0
+	for ran < n && counts[ran] == 1 {
+		ran++
+	}
+	for i := ran; i < n; i++ {
+		if counts[i] != 0 {
+			t.Fatalf("index %d ran after the prefix of %d", i, ran)
+		}
+	}
+	if ran <= 5 || ran == n {
+		t.Fatalf("%d of %d indices ran; want the cancelling one and not all", ran, n)
+	}
+}

@@ -48,9 +48,6 @@ func NewEngine(policy *Policy) *Engine {
 	return &Engine{policy: policy, maxHistory: 16}
 }
 
-// Policy returns the engine's policy.
-func (e *Engine) Policy() *Policy { return e.policy }
-
 // SetPolicy swaps the active policy (e.g. after an architecture change).
 // History is retained: carriers keep recent MR context across
 // reconfiguration.

@@ -167,6 +167,12 @@ func TestDrainMigratesWarmState(t *testing.T) {
 		}
 	}
 
+	// The client read only readBack responses, but the owner must have
+	// answered all n before the cut, or it parks a shorter cursor.
+	waitFor(t, "the owner to answer every sample", func() bool {
+		return rig.byAddr(t, owner).Stats().Predictions == n
+	})
+
 	// Drain cuts the live session; it parks and ships to the successor.
 	ds, err := rig.byAddr(t, owner).DrainToCluster(5 * time.Second)
 	if err != nil {
@@ -313,26 +319,6 @@ func TestResilientClientSurvivesDrain(t *testing.T) {
 	}
 	if ms := rig.byAddr(t, successor).Stats().MigratedResumes; ms != 1 {
 		t.Fatalf("successor migrated_resumes %d, want 1", ms)
-	}
-}
-
-// TestMigrationStreamRequiresBinary pins the §Migration frames gate: a
-// JSONL migrate hello is rejected before any state moves.
-func TestMigrationStreamRequiresBinary(t *testing.T) {
-	srv, err := ListenWith("127.0.0.1:0", Options{ResumeGrace: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(srv.Addr(), Hello{Migrate: true, Node: "test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	_, err = c.ReadResponse()
-	var se *ServerError
-	if !errors.As(err, &se) {
-		t.Fatalf("JSONL migrate hello: got %v, want ServerError", err)
 	}
 }
 

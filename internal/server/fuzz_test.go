@@ -81,7 +81,7 @@ func FuzzSessionProtocol(f *testing.F) {
 	// rejected cleanly — the satellite case a mis-wired peer exercises.
 	repHello := line(Hello{Replicate: true, Node: "fuzz-peer", Framing: string(wire.FramingBinary)})
 	repState := frame(func(fw *wire.FrameWriter) error {
-		return fw.WriteReplicate([]byte(`{"v":1,"token":"fuzz-tok","carrier":"OpX","arch":"NSA","seq":3,"partial":true}`))
+		return fw.WriteState(wire.FrameReplicate, []byte(`{"v":1,"token":"fuzz-tok","carrier":"OpX","arch":"NSA","seq":3,"partial":true}`))
 	})
 	// Well-formed replication push, and the same push truncated mid-payload.
 	f.Add(append(append([]byte{}, repHello...), repState...))

@@ -1,11 +1,13 @@
-// Cluster warm migration, server side. A draining node collects every
-// parked session and warm context snapshot, groups them by the ring
-// successor that will own each token once the node is gone, and ships them
-// over migration streams (docs/PROTOCOL.md §Migration frames). The
-// receiving side installs shipped sessions straight into its parked table
-// — replay buffer and resume cursor intact — so the UE's next reconnect
-// resumes warm with exact replay, exactly as if the session had parked
-// there all along.
+// Warm-state streams, server side: the machinery drain migration and
+// crash replication share (docs/PROTOCOL.md §Migration frames,
+// §Replication frames) — one receive loop, one install validation, one
+// parked-session rebuild, one send-side batching — plus the drain. A
+// draining node ships every parked session and warm context snapshot to
+// the ring successor that will own each token once it is gone; the
+// receiver re-parks shipped sessions — replay buffer and resume cursor
+// intact — so the UE's next reconnect resumes warm with exact replay.
+// Replication (replicate.go) lands its states in the passive replica
+// table instead.
 
 package server
 
@@ -20,83 +22,120 @@ import (
 	"repro/internal/cellular"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/ran"
 	"repro/internal/wire"
 )
 
-// serveMigration runs the receiving side of one migration stream: binary
-// framing only, FrameMigrate in, FrameMigrateAck out, one ack per state in
-// order. Migration streams hold no MaxSessions slot and touch no session
-// counters — they are cluster control plane, not serving load.
-func (s *Server) serveMigration(hello *Hello, br *bufio.Reader, w *bufio.Writer, framing wire.Framing) (codec, error) {
+// stateStream is the receiving side's per-kind half of a warm-state
+// stream: the frame types, where an accepted state goes and which
+// bytes-in counter it feeds.
+type stateStream struct {
+	cluster.Stream
+	install  func(s *Server, st cluster.SessionState, origin string) error
+	received func(st *metrics.ServerStats, bytes int64)
+}
+
+var (
+	migrationStream = stateStream{
+		Stream:   cluster.Migration,
+		install:  (*Server).installMigrated,
+		received: (*metrics.ServerStats).MigrationReceived,
+	}
+	replicationStream = stateStream{
+		Stream:   cluster.Replication,
+		install:  (*Server).installReplica,
+		received: (*metrics.ServerStats).ReplicationReceived,
+	}
+)
+
+// serveStateStream runs the receiving side of one warm-state stream from
+// the node origin: binary framing only, k.Frame in, k.Ack out, one ack per
+// state in order. State streams hold no MaxSessions slot and open no
+// serving session — they are cluster control plane, not load. Transport
+// faults are interruptions, not session errors: the shipper may be a node
+// dying mid-push, and a crash already under way must not inflate this
+// node's error counters. An oversized or foreign frame is a protocol
+// error.
+func (s *Server) serveStateStream(origin string, br *bufio.Reader, w *bufio.Writer, framing wire.Framing, k stateStream) (codec, error) {
 	if framing != wire.FramingBinary {
-		return nil, errors.New("server: migration streams require the binary framing")
+		return nil, fmt.Errorf("server: %s streams require the binary framing", k.Name)
 	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(wire.FramingAck{
-		FramingAck:  true,
-		Framing:     wire.FramingBinary,
-		WireVersion: wire.ProtocolVersion,
-	}); err != nil {
-		return nil, err
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
+	if writeFramingAck(w) != nil || w.Flush() != nil {
+		return nil, errInterrupted
 	}
 	cdc := newBinaryCodec(br, w)
 	fr, fw := cdc.fr, cdc.fw
 	var seq int64
 	for {
 		typ, p, err := fr.ReadFrame()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return cdc, w.Flush()
+		if errors.Is(err, io.EOF) {
+			// The shipper is done: answer everything, then close.
+			err = w.Flush()
+			if err == nil {
+				return cdc, nil
 			}
+		}
+		if errors.Is(err, wire.ErrFrameTooLarge) {
 			return cdc, err
 		}
-		if typ != wire.FrameMigrate {
-			return cdc, fmt.Errorf("server: unexpected frame type 0x%02x in migration stream", typ)
+		if err != nil {
+			return cdc, errInterrupted
+		}
+		if typ != k.Frame {
+			return cdc, fmt.Errorf("server: unexpected frame type 0x%02x in %s stream", typ, k.Name)
 		}
 		seq++
-		s.stats.MigrationReceived(int64(len(p)))
+		k.received(s.stats, int64(len(p)))
 		var st cluster.SessionState
-		ok := json.Unmarshal(p, &st) == nil && s.installMigrated(st, hello.Node) == nil
-		if err := fw.WriteMigrateAck(wire.MigrateAck{OK: ok, Seq: seq}); err != nil {
-			return cdc, err
+		ok := json.Unmarshal(p, &st) == nil && k.install(s, st, origin) == nil
+		if err := fw.WriteStateAck(k.Ack, wire.MigrateAck{OK: ok, Seq: seq}); err != nil {
+			return cdc, errInterrupted
 		}
 		// Coalesce ack flushes exactly like the serving path: hold them
 		// while more shipped frames are already buffered.
 		if fr.Buffered() == 0 {
 			if err := w.Flush(); err != nil {
-				return cdc, err
+				return cdc, errInterrupted
 			}
 		}
 	}
 }
 
-// installMigrated folds one shipped state into this node. Context states
-// (no token) merge into the warm store; session states are re-parked with
-// a fresh grace window, rebuilt around a restored Prognos instance.
-func (s *Server) installMigrated(st cluster.SessionState, origin string) error {
+// admitState is the validation both install paths share. It rejects a
+// state from a newer schema or without a carrier, folds a context state
+// (no token) into the warm store — the empty-token slot, like a restored
+// checkpoint; any later live push outranks it — and rejects a session
+// state when this node cannot hold one. session reports a session state
+// that passed and still needs installing.
+func (s *Server) admitState(st cluster.SessionState) (session bool, err error) {
 	if st.Version > cluster.SessionStateVersion {
-		return fmt.Errorf("server: migrated state version %d is newer than %d", st.Version, cluster.SessionStateVersion)
+		return false, fmt.Errorf("server: shipped state version %d is newer than %d", st.Version, cluster.SessionStateVersion)
 	}
 	if st.Carrier == "" {
-		return errors.New("server: migrated state without carrier")
+		return false, errors.New("server: shipped state without carrier")
 	}
 	if st.Token == "" {
-		// Context-level warm snapshot: the empty-token slot, like a
-		// restored checkpoint; any later live push outranks it.
 		s.warm.push(warmKey{carrier: st.Carrier, arch: st.Arch.String()}, "", st.Snapshot)
-		return nil
+		return false, nil
 	}
 	if s.opts.ResumeGrace <= 0 {
-		// Without a resume grace window this node cannot hold parked
-		// state; nacking lets the shipper account the session as rejected
-		// instead of silently downgrading it to a cold resume.
-		return errors.New("server: resume disabled, cannot hold migrated session")
+		// Without a resume grace window this node can neither park nor
+		// promote a session; nacking lets the shipper account it as
+		// rejected instead of silently downgrading it to a cold resume.
+		return false, errors.New("server: resume disabled, cannot hold a shipped session")
 	}
+	return true, nil
+}
+
+// parkShipped rebuilds a shipped session state into parked state and
+// parks it: a fresh learner restored from the state's snapshot — or, for
+// a partial state that carries none, warm-started from this node's
+// context snapshot — with its replay buffer refilled. The learner is
+// built without the report predictor. replica marks a failover promotion;
+// ev and detail name the move in the event trace.
+func (s *Server) parkShipped(st cluster.SessionState, replica bool, ev, detail string) error {
 	prog, err := core.New(core.Config{
 		EventConfigs: ran.EventConfigsFor(st.Carrier, st.Arch),
 		Arch:         st.Arch,
@@ -104,7 +143,11 @@ func (s *Server) installMigrated(st cluster.SessionState, origin string) error {
 	if err != nil {
 		return err
 	}
-	prog.Restore(st.Snapshot)
+	if !st.Partial {
+		prog.Restore(st.Snapshot)
+	} else if snap, ok := s.warmSnapshot(st.Carrier, st.Arch); ok {
+		prog.Bootstrap(snap.Learner.Patterns)
+	}
 	buf := newReplayBuffer(replayBufCap)
 	for _, r := range st.Responses {
 		buf.push(r)
@@ -117,16 +160,87 @@ func (s *Server) installMigrated(st cluster.SessionState, origin string) error {
 		carrier:  st.Carrier,
 		arch:     st.Arch,
 		migrated: true,
+		replica:  replica,
 	})
-	s.stats.SessionMigratedIn()
 	s.opts.Tracer.Emit(obs.Event{
-		Kind:    obs.EvMigrateIn,
+		Kind:    ev,
 		Session: st.Token,
 		Carrier: st.Carrier,
 		Arch:    st.Arch.String(),
 		RespSeq: st.Seq,
-		Detail:  "from " + origin,
+		Detail:  detail,
 	})
+	return nil
+}
+
+// resumeState is a session's shippable resume cursor with the newest
+// tail responses of its replay buffer, without a learner snapshot.
+func resumeState(token, carrier string, arch cellular.Arch, seq int64, buf *replayBuffer, tail int) cluster.SessionState {
+	var resp []Response
+	if buf != nil {
+		r := buf.resp
+		if len(r) > tail {
+			r = r[len(r)-tail:]
+		}
+		resp = append(resp, r...)
+	}
+	return cluster.SessionState{
+		Token:     token,
+		Carrier:   carrier,
+		Arch:      arch,
+		Seq:       seq,
+		Responses: resp,
+	}
+}
+
+// parkedState is the full shippable copy of a parked session. The caller
+// must own p (unparked, or under its shard lock), since it snapshots
+// p.prog.
+func parkedState(p *parkedSession) cluster.SessionState {
+	st := resumeState(p.token, p.carrier, p.arch, p.seq, p.buf, replayBufCap)
+	st.Snapshot = p.prog.Snapshot()
+	return st
+}
+
+// successorBatches groups session states, keyed by token, by the member
+// of rest that owns each token and adds every warm context snapshot to
+// every member's batch: tokens without shipped state re-land anywhere on
+// the ring, and wherever they do, the learned patterns should be waiting.
+func (s *Server) successorBatches(rest *cluster.Ring, states map[string]cluster.SessionState) map[string][]cluster.SessionState {
+	batches := make(map[string][]cluster.SessionState)
+	for _, st := range states {
+		owner := rest.Owner(st.Token)
+		batches[owner] = append(batches[owner], st)
+	}
+	var contexts []cluster.SessionState
+	for k, snap := range s.warm.all() {
+		arch, err := cellular.ParseArch(k.arch)
+		if err != nil {
+			continue
+		}
+		contexts = append(contexts, cluster.SessionState{
+			Carrier:  k.carrier,
+			Arch:     arch,
+			Snapshot: snap,
+		})
+	}
+	for _, m := range rest.Members() {
+		batches[m] = append(batches[m], contexts...)
+	}
+	return batches
+}
+
+// installMigrated folds one shipped state into this node. Context states
+// (no token) merge into the warm store; session states are re-parked with
+// a fresh grace window, rebuilt around a restored Prognos instance.
+func (s *Server) installMigrated(st cluster.SessionState, origin string) error {
+	if session, err := s.admitState(st); !session {
+		return err
+	}
+	if err := s.parkShipped(st, false, obs.EvMigrateIn, "from "+origin); err != nil {
+		return err
+	}
+	s.stats.SessionMigratedIn()
 	return nil
 }
 
@@ -199,48 +313,18 @@ func (s *Server) DrainToCluster(timeout time.Duration) (DrainStats, error) {
 	s.wg.Wait()
 
 	parked := s.parked.drainAll()
-	for range parked {
-		s.stats.SessionUnparked()
-	}
-	byTarget := make(map[string][]cluster.SessionState)
+	states := make(map[string]cluster.SessionState, len(parked))
 	for _, p := range parked {
-		var resp []Response
-		if p.buf != nil {
-			resp = append(resp, p.buf.resp...)
-		}
-		target := rest.Owner(p.token)
-		byTarget[target] = append(byTarget[target], cluster.SessionState{
-			Token:     p.token,
-			Carrier:   p.carrier,
-			Arch:      p.arch,
-			Seq:       p.seq,
-			Responses: resp,
-			Snapshot:  p.prog.Snapshot(),
-		})
+		s.stats.SessionUnparked()
+		states[p.token] = parkedState(p)
 	}
-	// Every peer gets every warm context snapshot: tokens without parked
-	// state re-land anywhere on the remaining ring, and wherever they do,
-	// the learned patterns should be waiting.
-	var contexts []cluster.SessionState
-	for k, snap := range s.warm.all() {
-		arch, err := cellular.ParseArch(k.arch)
-		if err != nil {
-			continue
-		}
-		contexts = append(contexts, cluster.SessionState{
-			Carrier:  k.carrier,
-			Arch:     arch,
-			Snapshot: snap,
-		})
-	}
-
+	batches := s.successorBatches(rest, states)
 	var firstErr error
 	for _, target := range rest.Members() {
-		states := append(byTarget[target], contexts...)
-		if len(states) == 0 {
+		if len(batches[target]) == 0 {
 			continue
 		}
-		st, err := cluster.Ship(target, s.opts.NodeAddr, states, timeout)
+		st, err := cluster.Ship(target, s.opts.NodeAddr, batches[target], timeout)
 		ds.Bytes += st.Bytes
 		ds.Sessions += st.Sessions
 		ds.Contexts += st.Contexts

@@ -14,20 +14,12 @@
 package server
 
 import (
-	"bufio"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"sync"
 	"time"
 
 	"repro/internal/cellular"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/ran"
-	"repro/internal/wire"
 )
 
 // replicaLiveTail bounds the replay-buffer tail a live session deposits
@@ -52,22 +44,8 @@ func newReplicaOutbox() *replicaOutbox {
 // own goroutine, so reading the replay buffer needs no synchronization;
 // the copy taken here is what crosses into the replication loop.
 func (o *replicaOutbox) put(token, carrier string, arch cellular.Arch, seq int64, buf *replayBuffer) {
-	var resp []Response
-	if buf != nil {
-		tail := buf.resp
-		if len(tail) > replicaLiveTail {
-			tail = tail[len(tail)-replicaLiveTail:]
-		}
-		resp = append(resp, tail...)
-	}
-	st := cluster.SessionState{
-		Token:     token,
-		Carrier:   carrier,
-		Arch:      arch,
-		Seq:       seq,
-		Responses: resp,
-		Partial:   true,
-	}
+	st := resumeState(token, carrier, arch, seq, buf, replicaLiveTail)
+	st.Partial = true
 	o.mu.Lock()
 	o.m[token] = st
 	o.mu.Unlock()
@@ -145,79 +123,12 @@ func (r *replicaStore) size() int {
 	return len(r.m)
 }
 
-// serveReplication runs the receiving side of one replication stream:
-// binary framing only, FrameReplicate in, FrameReplicateAck out, one ack
-// per state in order — serveMigration's choreography with two deliberate
-// differences. States land in the replica table instead of the parked
-// table, and transport faults mid-stream are interruptions, not session
-// errors: the shipper may be a node dying mid-push, and a crash already
-// under way must not inflate this node's error counters.
-func (s *Server) serveReplication(hello *Hello, br *bufio.Reader, w *bufio.Writer, framing wire.Framing) (codec, error) {
-	if s.opts.Cluster == nil {
-		return nil, errors.New("server: replication stream on a non-clustered server")
-	}
-	if framing != wire.FramingBinary {
-		return nil, errors.New("server: replication streams require the binary framing")
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(wire.FramingAck{
-		FramingAck:  true,
-		Framing:     wire.FramingBinary,
-		WireVersion: wire.ProtocolVersion,
-	}); err != nil {
-		return nil, err
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	cdc := newBinaryCodec(br, w)
-	fr, fw := cdc.fr, cdc.fw
-	var seq int64
-	for {
-		typ, p, err := fr.ReadFrame()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return cdc, w.Flush()
-			}
-			if errors.Is(err, wire.ErrFrameTooLarge) {
-				return cdc, err
-			}
-			return cdc, errInterrupted
-		}
-		if typ != wire.FrameReplicate {
-			return cdc, fmt.Errorf("server: unexpected frame type 0x%02x in replication stream", typ)
-		}
-		seq++
-		s.stats.ReplicationReceived(int64(len(p)))
-		var st cluster.SessionState
-		ok := json.Unmarshal(p, &st) == nil && s.installReplica(st, hello.Node) == nil
-		if err := fw.WriteReplicateAck(wire.MigrateAck{OK: ok, Seq: seq}); err != nil {
-			return cdc, errInterrupted
-		}
-		if fr.Buffered() == 0 {
-			if err := w.Flush(); err != nil {
-				return cdc, errInterrupted
-			}
-		}
-	}
-}
-
 // installReplica folds one pushed state into this node's passive stores:
 // context snapshots into the warm store (exactly as migration does),
 // session states into the replica table with a fresh expiry.
 func (s *Server) installReplica(st cluster.SessionState, origin string) error {
-	if st.Version > cluster.SessionStateVersion {
-		return fmt.Errorf("server: replicated state version %d is newer than %d", st.Version, cluster.SessionStateVersion)
-	}
-	if st.Carrier == "" {
-		return errors.New("server: replicated state without carrier")
-	}
-	if st.Token == "" {
-		s.warm.push(warmKey{carrier: st.Carrier, arch: st.Arch.String()}, "", st.Snapshot)
-		return nil
-	}
-	if s.opts.ResumeGrace <= 0 {
-		return errors.New("server: resume disabled, cannot hold replica")
+	if session, err := s.admitState(st); !session {
+		return err
 	}
 	if fresh := s.replicas.install(st, origin, time.Now().Add(s.opts.ResumeGrace)); fresh {
 		s.stats.ReplicaStored()
@@ -236,44 +147,10 @@ func (s *Server) promoteReplica(token string) bool {
 		return false
 	}
 	s.stats.ReplicaDropped()
-	st := e.st
-	prog, err := core.New(core.Config{
-		EventConfigs: ran.EventConfigsFor(st.Carrier, st.Arch),
-		Arch:         st.Arch,
-	})
-	if err != nil {
+	if s.parkShipped(e.st, true, obs.EvFailover, "replica of "+e.origin) != nil {
 		return false
 	}
-	if st.Partial {
-		if snap, ok := s.warmSnapshot(st.Carrier, st.Arch); ok {
-			prog.Bootstrap(snap.Learner.Patterns)
-		}
-	} else {
-		prog.Restore(st.Snapshot)
-	}
-	buf := newReplayBuffer(replayBufCap)
-	for _, r := range st.Responses {
-		buf.push(r)
-	}
-	s.park(&parkedSession{
-		token:    token,
-		prog:     prog,
-		seq:      st.Seq,
-		buf:      buf,
-		carrier:  st.Carrier,
-		arch:     st.Arch,
-		migrated: true,
-		replica:  true,
-	})
 	s.stats.Failover()
-	s.opts.Tracer.Emit(obs.Event{
-		Kind:    obs.EvFailover,
-		Session: token,
-		Carrier: st.Carrier,
-		Arch:    st.Arch.String(),
-		RespSeq: st.Seq,
-		Detail:  "replica of " + e.origin,
-	})
 	return true
 }
 
@@ -367,41 +244,13 @@ func (s *Server) replicateOnce() {
 	states := s.replOut.drain()
 	now := time.Now()
 	s.parked.forEach(func(p *parkedSession) {
-		if now.After(p.expires) {
-			return
-		}
-		var resp []Response
-		if p.buf != nil {
-			resp = append(resp, p.buf.resp...)
-		}
 		// forEach holds the shard lock, so the entry cannot be unparked
 		// (and its Prognos handed to a session) mid-snapshot.
-		states[p.token] = cluster.SessionState{
-			Token:     p.token,
-			Carrier:   p.carrier,
-			Arch:      p.arch,
-			Seq:       p.seq,
-			Responses: resp,
-			Snapshot:  p.prog.Snapshot(),
+		if !now.After(p.expires) {
+			states[p.token] = parkedState(p)
 		}
 	})
-	byTarget := make(map[string][]cluster.SessionState)
-	for _, st := range states {
-		target := rest.Owner(st.Token)
-		byTarget[target] = append(byTarget[target], st)
-	}
-	var contexts []cluster.SessionState
-	for k, snap := range s.warm.all() {
-		arch, err := cellular.ParseArch(k.arch)
-		if err != nil {
-			continue
-		}
-		contexts = append(contexts, cluster.SessionState{
-			Carrier:  k.carrier,
-			Arch:     arch,
-			Snapshot: snap,
-		})
-	}
+	batches := s.successorBatches(rest, states)
 	timeout := 4 * s.opts.ReplicationInterval
 	if timeout < 2*time.Second {
 		timeout = 2 * time.Second
@@ -409,14 +258,13 @@ func (s *Server) replicateOnce() {
 	var bytes int64
 	shipped := false
 	for _, target := range rest.Members() {
-		sts := append(byTarget[target], contexts...)
-		if len(sts) == 0 {
+		if len(batches[target]) == 0 {
 			continue
 		}
 		if s.detector != nil && s.detector.Down(target) {
 			continue
 		}
-		st, err := cluster.ShipReplicas(target, s.opts.NodeAddr, sts, timeout)
+		st, err := cluster.Replication.Ship(target, s.opts.NodeAddr, batches[target], timeout)
 		bytes += st.Bytes
 		if err != nil {
 			continue

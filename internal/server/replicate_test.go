@@ -233,52 +233,6 @@ func TestReplicationFailoverResume(t *testing.T) {
 	}
 }
 
-// TestInstallReplicaRejections pins the receiver-side verdicts: a
-// newer-than-implemented version, a state without a carrier, and a
-// tokened state on a node with resume disabled are all nacked, while a
-// token-less state lands as a context snapshot only.
-func TestInstallReplicaRejections(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring, err := cluster.New([]string{ln.Addr().String(), "127.0.0.1:1"}, cluster.NewRingPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := Serve(ln, Options{Cluster: ring, NodeAddr: ln.Addr().String()}) // resume disabled
-	defer srv.Close()
-
-	if err := srv.installReplica(cluster.SessionState{
-		Version: cluster.SessionStateVersion + 1, Carrier: "OpX",
-	}, "peer"); err == nil {
-		t.Error("future-version state installed")
-	}
-	if err := srv.installReplica(cluster.SessionState{
-		Version: cluster.SessionStateVersion,
-	}, "peer"); err == nil {
-		t.Error("carrier-less state installed")
-	}
-	if err := srv.installReplica(cluster.SessionState{
-		Version: cluster.SessionStateVersion, Carrier: "OpX", Token: "tok",
-	}, "peer"); err == nil {
-		t.Error("tokened state installed with resume disabled")
-	}
-	// Token-less context snapshot: accepted into the warm store, no
-	// replica entry.
-	if err := srv.installReplica(cluster.SessionState{
-		Version: cluster.SessionStateVersion, Carrier: "OpX", Arch: cellular.ArchLTE,
-	}, "peer"); err != nil {
-		t.Errorf("context snapshot rejected: %v", err)
-	}
-	if n := srv.replicas.size(); n != 0 {
-		t.Errorf("context snapshot left %d replica entries", n)
-	}
-	if _, ok := srv.warmSnapshot("OpX", cellular.ArchLTE); !ok {
-		t.Error("context snapshot never reached the warm store")
-	}
-}
-
 // TestFailoverTarget walks the ownership decision table for a tokened
 // hello whose ring owner is somewhere else: redirect while the owner is
 // alive (or no detector runs), adopt after confirmation — via replica
@@ -325,21 +279,5 @@ func TestFailoverTarget(t *testing.T) {
 	}
 	if serve, _ := succSrv.failoverTarget(owner, tok); !serve {
 		t.Fatal("successor refused to adopt an orphan token")
-	}
-}
-
-// TestReplicationStreamGuards pins the stream-level rejections: a
-// replicate hello on a non-clustered server, and JSONL framing on a
-// clustered one, both fail before any state lands.
-func TestReplicationStreamGuards(t *testing.T) {
-	srv, err := ListenWith("127.0.0.1:0", Options{ResumeGrace: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	if _, err := cluster.ShipReplicas(srv.Addr(), "test-origin", []cluster.SessionState{{
-		Carrier: "OpX", Arch: cellular.ArchLTE,
-	}}, time.Second); err == nil {
-		t.Fatal("replication stream accepted by a non-clustered server")
 	}
 }

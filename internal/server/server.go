@@ -116,7 +116,7 @@ type Options struct {
 	// ReplicationInterval enables async warm-state replication: every
 	// interval the node pushes its live-session resume states, parked
 	// sessions and warm context snapshots to their ring successors
-	// (ShipReplicas, docs/PROTOCOL.md §Replication frames), so a crash of
+	// (cluster.Replication, docs/PROTOCOL.md §Replication frames), so a crash of
 	// this node loses at most the samples accumulated since the last push
 	// — never a whole session's learner state (docs/ARCHITECTURE.md
 	// §Failure model). 0 disables replication. Requires Cluster.
@@ -618,6 +618,16 @@ func (s *Server) serve(conn net.Conn) {
 	}
 }
 
+// writeFramingAck acknowledges a binary hello on the JSONL layer; every
+// byte after it is binary frames.
+func writeFramingAck(w *bufio.Writer) error {
+	return json.NewEncoder(w).Encode(wire.FramingAck{
+		FramingAck:  true,
+		Framing:     wire.FramingBinary,
+		WireVersion: wire.ProtocolVersion,
+	})
+}
+
 // session speaks the protocol on one conn: hello (always JSONL), framing
 // negotiation, then records in, predictions out. The returned error is
 // what the client is told, through the returned codec (nil when the
@@ -655,13 +665,17 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	if hello.Migrate {
-		// Node-to-node migration stream: no MaxSessions slot, no session
-		// counters — it is control plane, not serving load.
-		return s.serveMigration(&hello, br, w, framing)
+		// Node-to-node warm-state streams: no MaxSessions slot, no serving
+		// session — they are control plane, not serving load.
+		return s.serveStateStream(hello.Node, br, w, framing, migrationStream)
 	}
 	if hello.Replicate {
-		// Node-to-node async replication stream: control plane too.
-		return s.serveReplication(&hello, br, w, framing)
+		// Replication only makes sense inside a ring; migration does not
+		// need one (a lone node can still take a drained peer's state).
+		if s.opts.Cluster == nil {
+			return nil, errors.New("server: replication stream on a non-clustered server")
+		}
+		return s.serveStateStream(hello.Node, br, w, framing, replicationStream)
 	}
 	if s.opts.Cluster != nil && hello.SessionToken != "" {
 		// Ownership check, before the slot claim so redirects cost
@@ -698,12 +712,7 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 	if framing == wire.FramingBinary {
 		// Acknowledge the switch on the JSONL layer; everything after
 		// this line (ResumeAck, replay, responses) is binary frames.
-		enc := json.NewEncoder(w)
-		if err := enc.Encode(wire.FramingAck{
-			FramingAck:  true,
-			Framing:     wire.FramingBinary,
-			WireVersion: wire.ProtocolVersion,
-		}); err != nil {
+		if err := writeFramingAck(w); err != nil {
 			return nil, err
 		}
 		cdc = newBinaryCodec(br, w)

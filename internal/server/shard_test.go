@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/cellular"
 	"repro/internal/core"
+	"repro/internal/ran"
 )
 
 // markedSnap builds a snapshot distinguishable by its Learned counter, so
@@ -105,5 +108,49 @@ func TestWarmStoreFreshestRacingSlot(t *testing.T) {
 	snap, ok := ws.freshest(key)
 	if !ok || snap.Learner.Learned != 9999 {
 		t.Fatalf("freshest after racing single-slot pushes = (%v, %v), want (9999, true)", snap.Learner.Learned, ok)
+	}
+}
+
+// TestParkEvictsSoonestWhenFull overfills a MaxParked table: the entry
+// closest to expiry is evicted — not the oldest insert, and never the
+// newcomer — and the gauges move as park accounts an eviction (one
+// parked_expired, parked_sessions held at the bound).
+func TestParkEvictsSoonestWhenFull(t *testing.T) {
+	srv, err := ListenWith("127.0.0.1:0", Options{ResumeGrace: time.Hour, MaxParked: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	park := func(token string) {
+		prog, err := core.New(core.Config{
+			EventConfigs: ran.EventConfigsFor("OpX", cellular.ArchNSA),
+			Arch:         cellular.ArchNSA,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.park(&parkedSession{token: token, prog: prog, carrier: "OpX", arch: cellular.ArchNSA})
+	}
+	park("first")
+	park("second")
+	// Make the later insert the soonest to expire, so eviction by insert
+	// order and eviction by expiry pick different victims.
+	sh := srv.parked.shard("second")
+	sh.mu.Lock()
+	sh.m["second"].expires = time.Now().Add(time.Minute)
+	sh.mu.Unlock()
+	if st := srv.Stats(); st.Parked != 2 || st.ParkedExpired != 0 {
+		t.Fatalf("before overflow: parked %d, expired %d; want 2, 0", st.Parked, st.ParkedExpired)
+	}
+
+	park("newcomer")
+	now := time.Now()
+	for token, want := range map[string]bool{"first": true, "second": false, "newcomer": true} {
+		if got := srv.parked.has(token, now); got != want {
+			t.Errorf("after overflow: %q parked = %v, want %v", token, got, want)
+		}
+	}
+	if st := srv.Stats(); st.Parked != 2 || st.ParkedExpired != 1 {
+		t.Fatalf("after overflow: parked %d, expired %d; want 2, 1", st.Parked, st.ParkedExpired)
 	}
 }

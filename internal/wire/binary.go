@@ -228,47 +228,35 @@ func (fw *FrameWriter) WriteError(msg string) error {
 	return fw.finish(b)
 }
 
-// WriteMigrate emits one JSON-encoded session state as a FrameMigrate
-// frame. The encoding is the caller's (internal/cluster owns the schema);
-// the wire layer only frames it.
-func (fw *FrameWriter) WriteMigrate(payload []byte) error {
+// WriteState emits one JSON-encoded session state as a state-stream
+// frame, typ being FrameMigrate or FrameReplicate. The encoding is the
+// caller's (internal/cluster owns the schema); the wire layer only frames
+// it.
+func (fw *FrameWriter) WriteState(typ byte, payload []byte) error {
+	if typ != FrameMigrate && typ != FrameReplicate {
+		return fmt.Errorf("wire: frame type 0x%02x is not a state-stream type", typ)
+	}
 	if len(payload) > MaxFrameBytes {
 		return ErrFrameTooLarge
 	}
-	b := fw.begin(FrameMigrate)
+	b := fw.begin(typ)
 	b = append(b, payload...)
 	return fw.finish(b)
 }
 
-// WriteMigrateAck emits the acknowledgement of one migrate frame.
-func (fw *FrameWriter) WriteMigrateAck(a MigrateAck) error {
-	b := fw.begin(FrameMigrateAck)
+// WriteStateAck emits the acknowledgement of one state-stream frame, typ
+// being FrameMigrateAck or FrameReplicateAck (both uint8 ok | int64 seq).
+func (fw *FrameWriter) WriteStateAck(typ byte, a MigrateAck) error {
+	if !isStateAck(typ) {
+		return fmt.Errorf("wire: frame type 0x%02x is not a state-stream ack type", typ)
+	}
+	b := fw.begin(typ)
 	b = appendBool(b, a.OK)
 	b = appendI64(b, a.Seq)
 	return fw.finish(b)
 }
 
-// WriteReplicate emits one JSON-encoded session state as a
-// FrameReplicate frame. Like WriteMigrate, the encoding is the caller's
-// (internal/cluster owns the schema); the wire layer only frames it.
-func (fw *FrameWriter) WriteReplicate(payload []byte) error {
-	if len(payload) > MaxFrameBytes {
-		return ErrFrameTooLarge
-	}
-	b := fw.begin(FrameReplicate)
-	b = append(b, payload...)
-	return fw.finish(b)
-}
-
-// WriteReplicateAck emits the acknowledgement of one replicate frame. It
-// reuses the MigrateAck layout (uint8 ok | int64 seq) under the
-// FrameReplicateAck type.
-func (fw *FrameWriter) WriteReplicateAck(a MigrateAck) error {
-	b := fw.begin(FrameReplicateAck)
-	b = appendBool(b, a.OK)
-	b = appendI64(b, a.Seq)
-	return fw.finish(b)
-}
+func isStateAck(typ byte) bool { return typ == FrameMigrateAck || typ == FrameReplicateAck }
 
 // FrameReader decodes binary frames from a buffered reader, reusing one
 // payload buffer across calls. Not safe for concurrent use.
@@ -448,19 +436,13 @@ func DecodeResumeAck(p []byte, a *ResumeAck) error {
 	return nil
 }
 
-// DecodeMigrateAck decodes a FrameMigrateAck payload into a.
-func DecodeMigrateAck(p []byte, a *MigrateAck) error {
-	if err := fixedLen(p, migrateAckFrameLen, "migrate_ack"); err != nil {
-		return err
+// DecodeStateAck decodes a FrameMigrateAck or FrameReplicateAck payload,
+// whose type the caller read, into a.
+func DecodeStateAck(typ byte, p []byte, a *MigrateAck) error {
+	if !isStateAck(typ) {
+		return fmt.Errorf("wire: frame type 0x%02x is not a state-stream ack type", typ)
 	}
-	a.OK = p[0] != 0
-	a.Seq = getI64(p[1:])
-	return nil
-}
-
-// DecodeReplicateAck decodes a FrameReplicateAck payload into a.
-func DecodeReplicateAck(p []byte, a *MigrateAck) error {
-	if err := fixedLen(p, migrateAckFrameLen, "replicate_ack"); err != nil {
+	if err := fixedLen(p, migrateAckFrameLen, "state_ack"); err != nil {
 		return err
 	}
 	a.OK = p[0] != 0

@@ -187,10 +187,11 @@ type ErrorLine struct {
 	Redirect string `json:"redirect,omitempty"`
 }
 
-// MigrateAck is the per-record acknowledgement of a migration stream: the
-// receiving node confirms (or rejects) one shipped session state. Seq is
-// the 1-based ordinal of the FrameMigrate it answers, so a shipping node
-// can pipeline frames and still attribute every verdict.
+// MigrateAck is the per-record acknowledgement of a state stream
+// (migration or replication): the receiving node confirms (or rejects) one
+// shipped session state. Seq is the 1-based ordinal of the state frame it
+// answers, so a shipping node can pipeline frames and still attribute
+// every verdict.
 type MigrateAck struct {
 	OK  bool  `json:"ok"`
 	Seq int64 `json:"seq"`

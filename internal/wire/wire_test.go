@@ -160,34 +160,52 @@ func TestBinaryRoundTrips(t *testing.T) {
 	})
 	t.Run("migrate", func(t *testing.T) {
 		state := []byte(`{"token":"ue-7","seq":42,"snapshot":{"version":1}}`)
-		typ, p := roundTrip(t, func(fw *FrameWriter) error { return fw.WriteMigrate(state) })
-		if typ != FrameMigrate {
-			t.Fatalf("frame type 0x%02x", typ)
+		for _, want := range []byte{FrameMigrate, FrameReplicate} {
+			typ, p := roundTrip(t, func(fw *FrameWriter) error { return fw.WriteState(want, state) })
+			if typ != want {
+				t.Fatalf("frame type 0x%02x, want 0x%02x", typ, want)
+			}
+			if string(p) != string(state) {
+				t.Fatalf("payload %q", p)
+			}
 		}
-		if string(p) != string(state) {
-			t.Fatalf("payload %q", p)
-		}
-		if err := NewFrameWriter(bufio.NewWriter(io.Discard)).WriteMigrate(make([]byte, MaxFrameBytes+1)); !errors.Is(err, ErrFrameTooLarge) {
+		fw := NewFrameWriter(bufio.NewWriter(io.Discard))
+		if err := fw.WriteState(FrameMigrate, make([]byte, MaxFrameBytes+1)); !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("oversized migrate payload: err = %v, want ErrFrameTooLarge", err)
+		}
+		for _, bad := range []byte{FrameSample, FrameMigrateAck, FrameError} {
+			if err := fw.WriteState(bad, state); err == nil {
+				t.Errorf("WriteState accepted frame type 0x%02x", bad)
+			}
 		}
 	})
 	t.Run("migrate_ack", func(t *testing.T) {
-		for _, in := range []MigrateAck{{OK: true, Seq: 9}, {OK: false, Seq: 1}} {
-			typ, p := roundTrip(t, func(fw *FrameWriter) error { return fw.WriteMigrateAck(in) })
-			if typ != FrameMigrateAck {
-				t.Fatalf("frame type 0x%02x", typ)
-			}
-			var out MigrateAck
-			if err := DecodeMigrateAck(p, &out); err != nil {
-				t.Fatal(err)
-			}
-			if out != in {
-				t.Fatalf("round trip mismatch: %+v vs %+v", in, out)
+		for _, want := range []byte{FrameMigrateAck, FrameReplicateAck} {
+			for _, in := range []MigrateAck{{OK: true, Seq: 9}, {OK: false, Seq: 1}} {
+				typ, p := roundTrip(t, func(fw *FrameWriter) error { return fw.WriteStateAck(want, in) })
+				if typ != want {
+					t.Fatalf("frame type 0x%02x, want 0x%02x", typ, want)
+				}
+				var out MigrateAck
+				if err := DecodeStateAck(typ, p, &out); err != nil {
+					t.Fatal(err)
+				}
+				if out != in {
+					t.Fatalf("round trip mismatch: %+v vs %+v", in, out)
+				}
 			}
 		}
 		var a MigrateAck
-		if err := DecodeMigrateAck(make([]byte, 8), &a); err == nil {
+		if err := DecodeStateAck(FrameMigrateAck, make([]byte, 8), &a); err == nil {
 			t.Error("short migrate-ack payload decoded")
+		}
+		for _, bad := range []byte{FrameMigrate, FrameResumeAck, FrameResponse} {
+			if err := DecodeStateAck(bad, make([]byte, migrateAckFrameLen), &a); err == nil {
+				t.Errorf("DecodeStateAck accepted frame type 0x%02x", bad)
+			}
+			if err := NewFrameWriter(bufio.NewWriter(io.Discard)).WriteStateAck(bad, a); err == nil {
+				t.Errorf("WriteStateAck accepted frame type 0x%02x", bad)
+			}
 		}
 	})
 }
