@@ -54,6 +54,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -73,70 +74,57 @@ import (
 	"repro/internal/topology"
 )
 
-func main() {
-	seed := flag.Int64("seed", 1, "random seed")
-	scale := flag.Float64("scale", 1.0, "experiment scale factor")
-	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "worker-pool size (1 = sequential)")
-	report := flag.String("report", "", "write a JSON metrics report to this file")
-	failfast := flag.Bool("failfast", false, "cancel pending experiments after the first error")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile (at exit) to this file")
-	carrier := flag.String("carrier", "OpX", "trace mode: carrier profile (OpX/OpY/OpZ)")
-	archName := flag.String("arch", "NSA", "trace mode: architecture (LTE/NSA/SA)")
-	routeName := flag.String("route", "freeway", "trace mode: drive route kind (freeway/city-loop)")
-	lengthM := flag.Float64("length", 20000, "trace mode: route length in metres")
-	traceFile := flag.String("trace-file", "", "trace mode: write the event JSONL here (default stdout)")
-	carriers := flag.Int("carriers", 100, "sweep mode: number of generated carrier portfolios")
-	drift := flag.Bool("drift", false, "sweep mode: rewrite each carrier's policy mid-run")
-	driveSeconds := flag.Float64("drive-seconds", 600, "sweep mode: minimum sim seconds per carrier")
-	f1Threshold := flag.Float64("f1-threshold", 0.6, "sweep mode: convergence F1 bar")
-	opsAddr := flag.String("ops-addr", "", "sweep mode: serve live sweep metrics on this address")
-	ues := flag.Int("ues", 64, "holoop mode: number of UE drive pairs")
-	gate := flag.Bool("gate", false, "holoop mode: exit non-zero unless adaptive beats static on ping-pong with F1 within -f1-epsilon")
-	f1Epsilon := flag.Float64("f1-epsilon", 0.05, "holoop mode: max tolerated adaptive F1 shortfall under -gate")
-	earlyPrep := flag.Bool("early-prep", true, "holoop mode: enable predictive early preparation")
-	skipAhead := flag.Bool("skip-ahead", true, "holoop mode: enable skip-ahead target selection")
-	adaptTTT := flag.Bool("adapt-ttt", true, "holoop mode: enable adaptive TTT/hysteresis")
-	flag.Usage = usage
-	flag.Parse()
-	args := flag.Args()
+func main() { os.Exit(vivisect(os.Args[1:])) }
+
+// vivisect runs one command line and returns the process exit code.
+// Profiles cover whichever mode runs: they start once the mode and its
+// flags are known and stop on every path out of it.
+func vivisect(args []string) int {
+	fs := flag.NewFlagSet("vivisect", flag.ContinueOnError)
+	fs.Usage = func() { usage(fs) }
+	seed := fs.Int64("seed", 1, "random seed")
+	scale := fs.Float64("scale", 1.0, "experiment scale factor")
+	jobs := fs.Int("jobs", runtime.GOMAXPROCS(0), "worker-pool size (1 = sequential)")
+	report := fs.String("report", "", "write a JSON metrics report to this file")
+	failfast := fs.Bool("failfast", false, "cancel pending experiments after the first error")
+	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a pprof heap profile (at exit) to this file")
+	carrier := fs.String("carrier", "OpX", "trace mode: carrier profile (OpX/OpY/OpZ)")
+	archName := fs.String("arch", "NSA", "trace mode: architecture (LTE/NSA/SA)")
+	routeName := fs.String("route", "freeway", "trace mode: drive route kind (freeway/city-loop)")
+	lengthM := fs.Float64("length", 20000, "trace mode: route length in metres")
+	traceFile := fs.String("trace-file", "", "trace mode: write the event JSONL here (default stdout)")
+	carriers := fs.Int("carriers", 100, "sweep mode: number of generated carrier portfolios")
+	drift := fs.Bool("drift", false, "sweep mode: rewrite each carrier's policy mid-run")
+	driveSeconds := fs.Float64("drive-seconds", 600, "sweep mode: minimum sim seconds per carrier")
+	f1Threshold := fs.Float64("f1-threshold", 0.6, "sweep mode: convergence F1 bar")
+	opsAddr := fs.String("ops-addr", "", "sweep mode: serve live sweep metrics on this address")
+	ues := fs.Int("ues", 64, "holoop mode: number of UE drive pairs")
+	gate := fs.Bool("gate", false, "holoop mode: exit non-zero unless adaptive beats static on ping-pong with F1 within -f1-epsilon")
+	f1Epsilon := fs.Float64("f1-epsilon", 0.05, "holoop mode: max tolerated adaptive F1 shortfall under -gate")
+	earlyPrep := fs.Bool("early-prep", true, "holoop mode: enable predictive early preparation")
+	skipAhead := fs.Bool("skip-ahead", true, "holoop mode: enable skip-ahead target selection")
+	adaptTTT := fs.Bool("adapt-ttt", true, "holoop mode: enable adaptive TTT/hysteresis")
+	if err := fs.Parse(args); err != nil {
+		return parseExit(err)
+	}
+	args = fs.Args()
 	if len(args) == 0 {
-		usage()
-		os.Exit(2)
+		usage(fs)
+		return 2
 	}
 
 	opts := experiments.Options{Seed: *seed, Scale: *scale}
 	var specs []experiments.Spec
 	switch args[0] {
-	case "list":
-		for _, s := range experiments.All() {
-			fmt.Printf("%-8s %s\n", s.ID, s.Paper)
-		}
-		return
-	case "trace":
-		os.Exit(runTrace(*seed, *carrier, *archName, *routeName, *lengthM, *traceFile))
-	case "sweep":
+	case "list", "trace": // nothing to resolve before profiling starts
+	case "sweep", "holoop":
 		// Accept flags after the subcommand too (`vivisect sweep -carriers
-		// 100 ...`): flag.Parse stops at the first positional argument, so
+		// 100 ...`): Parse stops at the first positional argument, so
 		// re-parse the remainder into the same flag set.
-		if err := flag.CommandLine.Parse(args[1:]); err != nil {
-			os.Exit(2)
+		if err := fs.Parse(args[1:]); err != nil {
+			return parseExit(err)
 		}
-		os.Exit(runSweep(sweepArgs{
-			seed: *seed, carriers: *carriers, drift: *drift, jobs: *jobs,
-			driveSeconds: *driveSeconds, f1Threshold: *f1Threshold,
-			report: *report, opsAddr: *opsAddr,
-		}))
-	case "holoop":
-		if err := flag.CommandLine.Parse(args[1:]); err != nil {
-			os.Exit(2)
-		}
-		os.Exit(runHOLoop(holoopArgs{
-			seed: *seed, ues: *ues, jobs: *jobs, driveSeconds: *driveSeconds,
-			gate: *gate, f1Epsilon: *f1Epsilon,
-			earlyPrep: *earlyPrep, skipAhead: *skipAhead, adaptTTT: *adaptTTT,
-			report: *report,
-		}))
 	case "all":
 		specs = experiments.All()
 	default:
@@ -151,23 +139,55 @@ func main() {
 			specs = append(specs, s)
 		}
 		if bad > 0 {
-			os.Exit(1)
+			return 1
 		}
 	}
 
 	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vivisect: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
-	code := run(specs, opts, *jobs, *failfast, *report)
+	var code int
+	switch args[0] {
+	case "list":
+		for _, s := range experiments.All() {
+			fmt.Printf("%-8s %s\n", s.ID, s.Paper)
+		}
+	case "trace":
+		code = runTrace(*seed, *carrier, *archName, *routeName, *lengthM, *traceFile)
+	case "sweep":
+		code = runSweep(sweepArgs{
+			seed: *seed, carriers: *carriers, drift: *drift, jobs: *jobs,
+			driveSeconds: *driveSeconds, f1Threshold: *f1Threshold,
+			report: *report, opsAddr: *opsAddr,
+		})
+	case "holoop":
+		code = runHOLoop(holoopArgs{
+			seed: *seed, ues: *ues, jobs: *jobs, driveSeconds: *driveSeconds,
+			gate: *gate, f1Epsilon: *f1Epsilon,
+			earlyPrep: *earlyPrep, skipAhead: *skipAhead, adaptTTT: *adaptTTT,
+			report: *report,
+		})
+	default:
+		code = run(specs, opts, *jobs, *failfast, *report)
+	}
 	if err := stopProfiles(); err != nil {
 		fmt.Fprintf(os.Stderr, "vivisect: %v\n", err)
 		if code == 0 {
 			code = 1
 		}
 	}
-	os.Exit(code)
+	return code
+}
+
+// parseExit maps a flag parse failure to an exit code: 0 for -h (the
+// usage text was the answer), 2 for a bad command line.
+func parseExit(err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	return 2
 }
 
 // runTrace simulates one drive with an event tracer attached and writes
@@ -440,12 +460,12 @@ func summarize(results []experiments.Result, wall time.Duration) {
 	fmt.Fprint(os.Stderr, t.Render())
 }
 
-func usage() {
+func usage(fs *flag.FlagSet) {
 	fmt.Fprintf(os.Stderr, `vivisect regenerates the paper's tables and figures.
 
 usage: vivisect [flags] list | all | trace | <experiment-id> [...]
 
 flags:
 `)
-	flag.PrintDefaults()
+	fs.PrintDefaults()
 }

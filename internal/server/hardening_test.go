@@ -54,6 +54,37 @@ func (l *stubListener) Close() error {
 
 func (l *stubListener) Addr() net.Addr { return l.addr }
 
+// openConns reports how many accepted connections srv is still serving:
+// zero once every session, stream or aborted dial has fully ended.
+func openConns(srv *Server) int {
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	return len(srv.conns)
+}
+
+// TestPreHelloCloseIsNotAnInterruption pins the interrupted-sessions
+// counter to real parks: a connection that closes before its hello (an
+// aborted dial, a TCP health check) parks nothing, so it is neither an
+// interrupted session nor a session error.
+func TestPreHelloCloseIsNotAnInterruption(t *testing.T) {
+	srv, err := ListenWith("127.0.0.1:0", Options{ResumeGrace: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the conn to be accepted", func() bool { return openConns(srv) == 1 })
+	conn.Close()
+	waitFor(t, "the conn to end", func() bool { return openConns(srv) == 0 })
+	if st := srv.Stats(); st.Interrupted != 0 || st.SessionErrors != 0 || st.Parked != 0 {
+		t.Fatalf("pre-hello close: interrupted %d, session_errors %d, parked %d; want 0, 0, 0",
+			st.Interrupted, st.SessionErrors, st.Parked)
+	}
+}
+
 // TestAcceptLoopBackoff is the regression test for the accept-loop
 // busy-spin: a run of transient Accept errors must be paced by capped
 // exponential backoff, and a successful accept must reset the schedule.

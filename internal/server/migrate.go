@@ -161,7 +161,7 @@ func (s *Server) parkShipped(st cluster.SessionState, replica bool, ev, detail s
 		arch:     st.Arch,
 		migrated: true,
 		replica:  replica,
-	})
+	}, false)
 	s.opts.Tracer.Emit(obs.Event{
 		Kind:    ev,
 		Session: st.Token,

@@ -94,8 +94,14 @@ type parkedSession struct {
 // park stores a session's warm state for ResumeGrace, evicting the entry
 // closest to expiry when the table is full. The session's learned state is
 // also merged into the warm store so a never-resumed park still contributes
-// to checkpoints and future cold starts.
-func (s *Server) park(p *parkedSession) {
+// to checkpoints and future cold starts. interrupted marks a session cut
+// by a transport fault, the only park the interrupted-sessions counter
+// counts: a clean end of stream and a shipped state park too, but nothing
+// was cut.
+func (s *Server) park(p *parkedSession, interrupted bool) {
+	if interrupted {
+		s.stats.SessionInterrupted()
+	}
 	s.pushWarm(p.carrier, p.arch, p.token, p.prog.Snapshot())
 	s.opts.Tracer.Emit(obs.Event{
 		Kind:    obs.EvSessionPark,

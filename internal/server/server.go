@@ -446,9 +446,10 @@ func (c timeoutConn) Write(p []byte) (int, error) {
 // counter rather than SessionErrors.
 var errOverLimit = errors.New("retry later")
 
-// errInterrupted marks a tokened session cut by a transport fault whose
-// warm state was parked for resume: not a session error, and the conn is
-// already dead so no ErrorLine is attempted.
+// errInterrupted marks a connection cut by a transport fault — a tokened
+// session (parked for resume when it had served anything), a state
+// stream, or a connection closed before its hello: not a session error,
+// and the conn is already dead so no ErrorLine is attempted.
 var errInterrupted = errors.New("session interrupted")
 
 // redirectError tells a session its token lives on another cluster node.
@@ -490,15 +491,18 @@ type codec interface {
 	Flush() error
 }
 
-// jsonlCodec is the default line-oriented framing.
+// jsonlCodec is the default line-oriented framing. Like binaryCodec, a
+// decoded record's payload lives in the codec's scratch (the decoder's)
+// until the next ReadRecord.
 type jsonlCodec struct {
 	br  *bufio.Reader
 	w   *bufio.Writer
-	enc *json.Encoder
+	jw  *wire.JSONLWriter
+	dec wire.JSONLDecoder
 }
 
 func newJSONLCodec(br *bufio.Reader, w *bufio.Writer) *jsonlCodec {
-	return &jsonlCodec{br: br, w: w, enc: json.NewEncoder(w)}
+	return &jsonlCodec{br: br, w: w, jw: wire.NewJSONLWriter(w)}
 }
 
 func (c *jsonlCodec) ReadRecord(rec *Record) error {
@@ -506,16 +510,15 @@ func (c *jsonlCodec) ReadRecord(rec *Record) error {
 	if err != nil {
 		return err
 	}
-	*rec = Record{}
-	if err := json.Unmarshal(line, rec); err != nil {
+	if err := c.dec.DecodeRecord(line, rec); err != nil {
 		return &protocolError{err: err}
 	}
 	return nil
 }
 
-func (c *jsonlCodec) WriteResponse(r Response) error   { return c.enc.Encode(r) }
-func (c *jsonlCodec) WriteResumeAck(a ResumeAck) error { return c.enc.Encode(a) }
-func (c *jsonlCodec) WriteError(msg string) error      { return c.enc.Encode(ErrorLine{Error: msg}) }
+func (c *jsonlCodec) WriteResponse(r Response) error   { return c.jw.WriteResponse(r) }
+func (c *jsonlCodec) WriteResumeAck(a ResumeAck) error { return c.jw.Encode(a) }
+func (c *jsonlCodec) WriteError(msg string) error      { return c.jw.Encode(ErrorLine{Error: msg}) }
 func (c *jsonlCodec) Buffered() int                    { return c.br.Buffered() }
 func (c *jsonlCodec) Flush() error                     { return c.w.Flush() }
 
@@ -574,8 +577,8 @@ func (c *binaryCodec) Flush() error                     { return c.w.Flush() }
 // serve runs one session and accounts its outcome: session errors are
 // counted and, when the transport still works, reported to the client as a
 // structured error in the session's negotiated framing before teardown.
-// Interrupted resumable sessions are parked instead (see session) and
-// counted separately.
+// Interrupted resumable sessions are parked instead (see session), and
+// park counts them.
 func (s *Server) serve(conn net.Conn) {
 	rw := net.Conn(conn)
 	if s.opts.SessionTimeout > 0 {
@@ -586,7 +589,8 @@ func (s *Server) serve(conn net.Conn) {
 	cdc, err := s.session(br, w)
 	if err != nil {
 		if errors.Is(err, errInterrupted) {
-			s.stats.SessionInterrupted()
+			// Churn, not a session error; a session that really parked
+			// was counted as interrupted by park.
 			return
 		}
 		var re *redirectError
@@ -812,7 +816,7 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 			buf:     buf,
 			carrier: hello.Carrier,
 			arch:    hello.Arch,
-		})
+		}, true)
 		return errInterrupted
 	}
 	if hello.SessionToken != "" {
@@ -979,7 +983,7 @@ func (s *Server) session(br *bufio.Reader, w *bufio.Writer) (codec, error) {
 			buf:     buf,
 			carrier: hello.Carrier,
 			arch:    hello.Arch,
-		})
+		}, false)
 	}
 	return cdc, nil
 }
@@ -995,7 +999,7 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	w    *bufio.Writer
-	enc  *json.Encoder
+	jw   *wire.JSONLWriter
 	// fr/fw are set iff the session negotiated the binary framing.
 	fr *wire.FrameReader
 	fw *wire.FrameWriter
@@ -1061,8 +1065,8 @@ func DialWith(addr string, hello Hello, opts ClientOptions) (*Client, error) {
 		w:         bufio.NewWriter(conn),
 		autoFlush: !opts.NoAutoFlush,
 	}
-	c.enc = json.NewEncoder(c.w)
-	if err := c.enc.Encode(hello); err != nil {
+	c.jw = wire.NewJSONLWriter(c.w)
+	if err := c.jw.Encode(hello); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -1126,7 +1130,7 @@ func (c *Client) SendReport(mr cellular.MeasurementReport) error {
 	if c.fw != nil {
 		return c.fw.WriteReport(&mr)
 	}
-	return c.enc.Encode(Record{Report: &mr})
+	return c.jw.WriteReport(&mr)
 }
 
 // SendHandover streams one sniffed handover command (buffered like
@@ -1135,7 +1139,7 @@ func (c *Client) SendHandover(ho cellular.HandoverEvent) error {
 	if c.fw != nil {
 		return c.fw.WriteHandover(&ho)
 	}
-	return c.enc.Encode(Record{HO: &ho})
+	return c.jw.WriteHandover(&ho)
 }
 
 // SendSample streams one radio sample and returns the server's prediction.
@@ -1156,7 +1160,7 @@ func (c *Client) SendSampleAsync(smp trace.Sample) error {
 	if c.fw != nil {
 		err = c.fw.WriteSample(&smp)
 	} else {
-		err = c.enc.Encode(Record{Sample: &smp})
+		err = c.jw.WriteSample(&smp)
 	}
 	if err != nil {
 		return err
@@ -1214,6 +1218,12 @@ func (c *Client) ReadResponse() (Response, error) {
 	if err != nil {
 		return Response{}, err
 	}
+	var r Response
+	if wire.CanonicalResponse(line, &r) {
+		return r, nil
+	}
+	// Anything else — an error or redirect line, or a response in a form
+	// this codec does not emit — is encoding/json's.
 	var env struct {
 		Response
 		Err      string `json:"error"`

@@ -129,7 +129,7 @@ func TestParkEvictsSoonestWhenFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv.park(&parkedSession{token: token, prog: prog, carrier: "OpX", arch: cellular.ArchNSA})
+		srv.park(&parkedSession{token: token, prog: prog, carrier: "OpX", arch: cellular.ArchNSA}, false)
 	}
 	park("first")
 	park("second")

@@ -195,7 +195,8 @@ func main() {
 //	BenchmarkName-8  12  97819667 ns/op  3.600 HO/km  9280474 B/op  1466 allocs/op
 //
 // The -N GOMAXPROCS suffix is stripped from the name; value/unit pairs
-// beyond the standard three land in Metrics.
+// beyond the standard three land in Metrics. A value without its unit
+// (a line cut mid-pair) is an error, not a silently dropped figure.
 func parseBenchLine(line string) (string, Result, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
@@ -210,6 +211,9 @@ func parseBenchLine(line string) (string, Result, error) {
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
 		return "", Result{}, fmt.Errorf("iterations: %w", err)
+	}
+	if len(fields)%2 != 0 {
+		return "", Result{}, fmt.Errorf("value %q without a unit", fields[len(fields)-1])
 	}
 	res := Result{Iterations: iters}
 	for i := 2; i+1 < len(fields); i += 2 {
